@@ -13,7 +13,7 @@ bit-exactly.
 
 :func:`serve_timeline` re-casts the run as a pseudo
 :class:`~repro.substrate.engine.ExecutionTrace` — one span per
-(query, leased GPU) — so the existing Chrome-trace exporter
+(query, lease segment, leased GPU) — so the existing Chrome-trace exporter
 (:func:`repro.obs.chrome_trace_document`) renders the pool timeline
 with no serving-specific export code.
 """
@@ -70,7 +70,10 @@ class RequestRecord:
     ``batch`` is the dispatch's batch size, ``batched_with`` the batch
     leader's request id on follower records (empty on leaders and
     unbatched dispatches), and ``resizes`` counts elastic lease
-    grow/shrink rounds (leader record only).
+    grow/shrink rounds (leader record only).  ``lease_segments`` lists
+    the last dispatch's ``(from_ms, lease)`` steps — the dispatch, then
+    one per elastic resize (leader record only); :func:`serve_timeline`
+    draws from it and the JSON document leaves it out.
     """
 
     id: str
@@ -95,6 +98,7 @@ class RequestRecord:
     batched_with: str = ""
     resizes: int = 0
     deadline_met: bool | None = None
+    lease_segments: list[tuple[float, tuple[int, ...]]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -338,7 +342,12 @@ def serve_timeline(
 
     Each dispatched request becomes one span per leased GPU — named
     ``{id}`` on its first lease GPU and ``{id}@gN`` on the others —
-    running from dispatch to release.  Batched followers hold no lease
+    running from dispatch to release.  An elastic request draws one
+    span per (lease segment, GPU) instead: its dispatch lease until the
+    first resize, then each resized lease (spans ``{id}/sK@gN``) until
+    the next resize or the release, so a GPU shows as held only while
+    it really was (a lease superseded at the instant it was taken gets
+    no span).  Batched followers hold no lease
     of their own (they ride the leader's), so only the leader's span
     represents the shared occupancy — one span per *lease*, which is
     what keeps the timeline linearizable under the exclusive-lease
@@ -358,15 +367,23 @@ def serve_timeline(
             continue
         if rec.batched_with:
             continue  # the leader's span covers the shared lease
-        for i, gpu in enumerate(rec.gpus):
-            name = rec.id if i == 0 else f"{rec.id}@g{gpu}"
-            op_launch[name] = rec.arrival_ms if i == 0 else rec.dispatched_ms
-            op_start[name] = rec.dispatched_ms
-            op_finish[name] = rec.released_ms
-            op_gpu[name] = gpu
-            gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + (
-                rec.released_ms - rec.dispatched_ms
-            )
+        segments = rec.lease_segments or [(rec.dispatched_ms, rec.gpus)]
+        # a lease resized at the instant it was taken was never held
+        segments = [
+            seg for seg, nxt in zip(segments, segments[1:]) if nxt[0] > seg[0]
+        ] + segments[-1:]
+        ends = [t for t, _ in segments[1:]] + [rec.released_ms]
+        for s, ((t0, gpus), t1) in enumerate(zip(segments, ends)):
+            for i, gpu in enumerate(gpus):
+                if s:
+                    name = f"{rec.id}/s{s}@g{gpu}"
+                else:
+                    name = rec.id if i == 0 else f"{rec.id}@g{gpu}"
+                op_launch[name] = rec.arrival_ms if name == rec.id else t0
+                op_start[name] = t0
+                op_finish[name] = t1
+                op_gpu[name] = gpu
+                gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + (t1 - t0)
         latency = max(latency, rec.released_ms)
     trace = ExecutionTrace(
         latency=latency,

@@ -48,7 +48,10 @@ ignored when it fires.
 
 Everything — arrivals, placement, faults, backoff jitter — is a pure
 function of the :class:`~repro.serve.config.ServeConfig`, so a run
-replays bit-identically.
+replays bit-identically.  That also makes a *fault-free* first segment
+(empty projected plan) a pure function of its plan: it runs on the
+engine once per ``(model, lease width, algorithm)`` and later
+dispatches of the plan replay the memoized trace.
 """
 
 from __future__ import annotations
@@ -128,7 +131,9 @@ class _InFlight:
     bumps it and pushes a fresh outcome, so the superseded event is
     recognized as stale when it fires.  ``trace`` / ``op_gpu`` describe
     the *current* segment on the query-local clock starting at
-    ``segment_start_ms``; ``finished`` holds the operators checkpointed
+    ``segment_start_ms`` (read-only: a fault-free first segment shares
+    them with its plan's memoized clean run); ``finished`` holds the
+    operators checkpointed
     by earlier segments; ``repairs_done`` counts cascading-repair
     rounds that actually happened before a resize cut.
     """
@@ -204,6 +209,10 @@ class ServeSimulator:
         )
         # (model, lease size, algorithm) -> (profile, schedule, predicted)
         self._schedules: dict[tuple[str, int, str], tuple[CostProfile, Schedule, float]] = {}
+        # same key -> (trace, op -> GPU) of the plan's fault-free first
+        # segment: a pure function of (graph, schedule, base engine), so
+        # it runs on the engine once and is shared read-only afterwards
+        self._clean_runs: dict[tuple[str, int, str], tuple[ExecutionTrace, dict[str, int]]] = {}
         # wall-clock scheduling cost + cache traffic (host time, not the
         # simulated clock; reset per run())
         self._sched_s = 0.0
@@ -431,6 +440,7 @@ class ServeSimulator:
                     segment_start_ms=now,
                 )
                 in_flight[req.id] = fl
+                rec.lease_segments = [(now, lease)]
                 for m in members:
                     mrec = records[m.request.id]
                     mrec.dispatched_ms = now
@@ -470,10 +480,10 @@ class ServeSimulator:
             if not live or target == len(live):
                 return False
             cut = now - fl.segment_start_ms
-            seg_done = frozenset(
-                op for op, t in fl.trace.op_finish.items() if t <= cut
-            )
-            finished = fl.finished | seg_done
+            # trace order, not set order: the busy-time sum below must
+            # not depend on string hashing to be bit-reproducible
+            seg_done = [op for op, t in fl.trace.op_finish.items() if t <= cut]
+            finished = fl.finished.union(seg_done)
             if len(finished) >= len(fl.names):
                 return False  # effectively done; let the outcome fire
             grow = target > len(live)
@@ -527,6 +537,7 @@ class ServeSimulator:
             for m in fl.members:
                 records[m.request.id].gpus = new_lease
             records[fl.qid].resizes += 1
+            records[fl.qid].lease_segments.append((now, new_lease))
             emit(
                 "serve-resize",
                 t=now,
@@ -758,41 +769,52 @@ class ServeSimulator:
     ) -> None:
         """Execute one segment of ``fl`` and push its (epoch-tagged) outcome.
 
-        The first segment runs the full model graph; post-resize
-        segments run the unfinished subgraph re-planned by
+        The first segment (epoch 0) runs the full model graph;
+        post-resize segments run the unfinished subgraph re-planned by
         :func:`repro.core.repair.resize_schedule`.  Either way the
         pool's remaining faults are projected onto the current lease
-        and the segment executes under cascading repair.
+        and the segment executes under cascading repair.  A first
+        segment no fault touches replays its plan's memoized clean run
+        instead (``_clean_runs``).
         """
-        cfg = self.config
         qplan = self._query_plan(now, fl.lease, tag, fl.leader.attempt)
-        engine_cfg = replace(self._base_engine, faults=qplan)
-        try:
-            trace, repairs = run_with_repair(
-                profile,
-                schedule,
-                config=engine_cfg,
-                algorithm=fl.algorithm,
-                strict=False,
-                warm_start=True,
-                sched_cache=self._sched_cache,
-                **self._alg_kwargs(fl.algorithm),
-            )
-        except FaultError as exc:
-            # transfer retry budget exhausted mid-run: the lease was held
-            # for about the predicted duration before the abort surfaced
-            fl.pending = "abort"
-            fl.trace = None
-            fl.seg_repairs = ()
-            push(now + predicted, _PRIO_OUTCOME, "abort", (fl.qid, fl.epoch, str(exc)))
-            return
-        for r in repairs:
-            self._sched_s += r.result.scheduling_time
-            if r.warm_started:
-                self._warm_starts += 1
-        op_gpu = _op_assignment(schedule)
-        for r in repairs:
-            op_gpu.update(_op_assignment(r.schedule))
+        memo_key = None
+        if qplan is None and fl.epoch == 0:
+            memo_key = (fl.model, len(fl.lease), fl.algorithm)  # the plan key
+        clean = self._clean_runs.get(memo_key) if memo_key is not None else None
+        if clean is not None:
+            trace, op_gpu = clean
+            repairs: tuple[RepairResult, ...] = ()
+        else:
+            try:
+                trace, repairs = run_with_repair(
+                    profile,
+                    schedule,
+                    config=replace(self._base_engine, faults=qplan),
+                    algorithm=fl.algorithm,
+                    strict=False,
+                    warm_start=True,
+                    sched_cache=self._sched_cache,
+                    **self._alg_kwargs(fl.algorithm),
+                )
+            except FaultError as exc:
+                # transfer retry budget exhausted mid-run: the lease was
+                # held for about the predicted duration before the abort
+                # surfaced
+                fl.pending = "abort"
+                fl.trace = None
+                fl.seg_repairs = ()
+                push(now + predicted, _PRIO_OUTCOME, "abort", (fl.qid, fl.epoch, str(exc)))
+                return
+            for r in repairs:
+                self._sched_s += r.result.scheduling_time
+                if r.warm_started:
+                    self._warm_starts += 1
+            op_gpu = _op_assignment(schedule)
+            for r in repairs:
+                op_gpu.update(_op_assignment(r.schedule))
+            if memo_key is not None:
+                self._clean_runs[memo_key] = (trace, op_gpu)
         fl.trace = trace
         fl.seg_repairs = repairs
         fl.op_gpu = op_gpu

@@ -134,6 +134,90 @@ class TestValidation:
             s.validate(g)
 
 
+class TestValidateOnce:
+    """A passing check is stamped (graph, graph.version, num_stages) and
+    not repeated; any change to the stamp re-runs the lint pack."""
+
+    @pytest.fixture
+    def lint_runs(self, monkeypatch):
+        from repro.lint.framework import Linter
+
+        runs = []
+        original = Linter.run
+
+        def counting(self, ctx):
+            runs.append(ctx)
+            return original(self, ctx)
+
+        monkeypatch.setattr(Linter, "run", counting)
+        return runs
+
+    @staticmethod
+    def _valid():
+        g = wide_graph()
+        s = Schedule(2)
+        s.append_op(0, "a")
+        s.append_stage(Stage(0, ("b", "c")))
+        s.append_op(1, "d")
+        return g, s
+
+    def test_repeat_check_is_free(self, lint_runs):
+        g, s = self._valid()
+        for _ in range(5):
+            s.validate(g)
+        assert len(lint_runs) == 1
+
+    def test_graph_mutation_rechecks(self, lint_runs):
+        g, s = self._valid()
+        s.validate(g)
+        g.set_transfer("a", "b", 2.0)
+        s.validate(g)
+        assert len(lint_runs) == 2
+        g.add_operator("e", cost=1.0)  # now unscheduled
+        with pytest.raises(ScheduleError, match="not scheduled"):
+            s.validate(g)
+        assert len(lint_runs) == 3
+
+    def test_append_stage_rechecks(self, lint_runs):
+        g, s = self._valid()
+        s.validate(g)
+        s.append_op(1, "zz")
+        with pytest.raises(ScheduleError, match="unknown"):
+            s.validate(g)
+        assert len(lint_runs) == 2
+
+    def test_other_graph_object_rechecks(self, lint_runs):
+        g, s = self._valid()
+        s.validate(g)
+        s.validate(g.copy())
+        assert len(lint_runs) == 2
+
+    def test_invalid_schedule_raises_every_time(self, lint_runs):
+        from repro.substrate.engine import MultiGpuEngine
+
+        g = chain_graph()
+        s = Schedule(1)
+        s.append_op(0, "b")
+        s.append_op(0, "a")
+        s.append_op(0, "c")
+        for _ in range(3):
+            with pytest.raises(ScheduleError, match="cycle"):
+                s.validate(g)
+        for _ in range(2):
+            with pytest.raises(ScheduleError, match="cycle"):
+                MultiGpuEngine().run(g, s)
+        assert len(lint_runs) == 5
+
+    def test_validated_schedule_pickles(self):
+        import pickle
+
+        g, s = self._valid()
+        s.validate(g)
+        clone = pickle.loads(pickle.dumps(s))
+        assert clone == s
+        clone.validate(g)
+
+
 class TestTransforms:
     def test_copy(self):
         s = Schedule(2)
