@@ -35,19 +35,19 @@ MLSys'21) applies to its DP states, applied to our three inner loops:
     ``evaluate_schedule`` does.
 
     Internally the evaluator stores the stage graph in a
-    **struct-of-arrays layout** (DESIGN.md §14): numpy arrays hold the
-    stage durations, the per-GPU sequential chains and the flattened
-    CSR edge lists (local targets, remote targets + transfer costs,
-    per-source deduplicated successor sets), and the forward DP is a
-    topological sweep over int-indexed arrays — no per-stage dicts,
-    sets or string keys in the inner loop.  A window candidate adjusts
+    **struct-of-arrays layout** (DESIGN.md §14): flat int-indexed
+    Python lists hold the stage durations, the per-GPU sequential
+    chains and the flattened CSR edge lists (local targets, remote
+    targets + transfer costs, per-source deduplicated successor sets),
+    and the forward DP is a topological sweep over them — no per-stage
+    dicts, sets or string keys in the inner loop.  A window candidate adjusts
     the committed in-degree array incrementally around the merged
     members instead of re-deriving it from every edge.
 
 :func:`soa_latency`
     One-shot SoA evaluation of a committed schedule — the same floats
     as :func:`repro.core.evaluator.evaluate_schedule`, produced by the
-    array sweep (used by the schedulers' final evaluations when
+    list sweep (used by the schedulers' final evaluations when
     ``fast=True``).
 
 All paths are differentially tested bit-identical — latencies *and*
@@ -62,8 +62,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..costmodel.profile import CostProfile
 from .graph import OpGraph
@@ -359,10 +357,10 @@ class StageGraphEvaluator:
 
     Builds the stage graph — operator-to-stage map, per-stage chain /
     local / remote edge lists with the deterministic ``(producer,
-    consumer)`` send order, and stage durations — once per schedule in
-    a struct-of-arrays layout, then prices each window candidate with
-    :meth:`try_merge` by running the int-indexed forward DP under a
-    merge delta.  Produces exactly the floats of
+    consumer)`` send order, and stage durations — once per schedule as
+    flat int-indexed lists (a struct-of-arrays layout), then prices each
+    window candidate with :meth:`try_merge` by running the forward DP
+    under a merge delta.  Produces exactly the floats of
     :func:`repro.core.evaluator.evaluate_schedule`: every start time is
     a pure max-merge over its incoming constraints and every send
     cursor accumulates in the same deterministic ``(producer,
@@ -394,11 +392,10 @@ class StageGraphEvaluator:
         for idx, st in enumerate(stages):
             by_gpu.setdefault(st.gpu, []).append(idx)
         self._by_gpu = by_gpu
-        chain_next: list[int | None] = [None] * n
+        chain_next = [-1] * n  # per-GPU chain successor, -1 = end of chain
         for chain in by_gpu.values():
             for a, b in zip(chain, chain[1:]):
                 chain_next[a] = b
-        self._chain_next = chain_next
 
         local_sets: list[set[int]] = [set() for _ in range(n)]
         remote_lists: list[list[tuple[float, int, str, str]]] = [[] for _ in range(n)]
@@ -428,7 +425,7 @@ class StageGraphEvaluator:
             targets = set(local_sets[s])
             targets.update(sv for _w, sv, _u, _v in remote_lists[s])
             nxt = chain_next[s]
-            if nxt is not None:
+            if nxt >= 0:
                 targets.add(nxt)
             succ_unique.append(tuple(targets))
             for t in targets:
@@ -436,21 +433,14 @@ class StageGraphEvaluator:
         self._succ_unique = succ_unique
         self._rev_sources: list[tuple[int, ...]] = [tuple(s) for s in rev_sources]
 
-        self._duration: list[float] = [
-            profile.stage_time(st.ops, gpu=st.gpu) for st in stages
-        ]
-
         # ---- struct-of-arrays layout (DESIGN.md §14) -----------------
-        # Canonical numpy arrays: stage times, per-GPU chain successor
-        # (-1 = end of chain), flattened CSR edge lists, committed
-        # in-degrees.  The DP sweeps int-indexed Python lists derived
-        # from them once here — scalar indexing into lists is what the
-        # tight Kahn loop wants, while the arrays give bulk copies and
-        # a compact, introspectable layout.
-        self._dur_arr = np.asarray(self._duration, dtype=np.float64)
-        self._chain_arr = np.asarray(
-            [c if c is not None else -1 for c in chain_next], dtype=np.int64
-        )
+        # Int-indexed flat lists: stage times, per-GPU chain successors,
+        # flattened CSR edge lists (remote targets + transfer costs,
+        # local targets, per-source deduplicated successors) and
+        # committed in-degrees — scalar indexing into lists is what the
+        # tight Kahn loop wants.
+        self._dur_l = [profile.stage_time(st.ops, gpu=st.gpu) for st in stages]
+        self._chain_l = chain_next
         rptr = [0]
         rdst: list[int] = []
         rw: list[float] = []
@@ -467,29 +457,17 @@ class StageGraphEvaluator:
             lptr.append(len(ldst))
             sdst.extend(succ_unique[s])
             sptr.append(len(sdst))
-        self._rw_arr = np.asarray(rw, dtype=np.float64)
-        self._rdst_arr = np.asarray(rdst, dtype=np.int64)
-        self._rptr_arr = np.asarray(rptr, dtype=np.int64)
-        self._ldst_arr = np.asarray(ldst, dtype=np.int64)
-        self._lptr_arr = np.asarray(lptr, dtype=np.int64)
-        self._sdst_arr = np.asarray(sdst, dtype=np.int64)
-        self._sptr_arr = np.asarray(sptr, dtype=np.int64)
-        indeg0 = np.zeros(n, dtype=np.int64)
-        if sdst:
-            np.add.at(indeg0, self._sdst_arr, 1)
-        self._indeg0_arr = indeg0
-
-        # list mirrors for the scalar sweep
-        self._dur_l: list[float] = self._dur_arr.tolist()
-        self._chain_l: list[int] = self._chain_arr.tolist()
-        self._rw_l: list[float] = self._rw_arr.tolist()
-        self._rdst_l: list[int] = self._rdst_arr.tolist()
-        self._rptr_l: list[int] = self._rptr_arr.tolist()
-        self._ldst_l: list[int] = self._ldst_arr.tolist()
-        self._lptr_l: list[int] = self._lptr_arr.tolist()
-        self._sdst_l: list[int] = self._sdst_arr.tolist()
-        self._sptr_l: list[int] = self._sptr_arr.tolist()
-        self._indeg0_l: list[int] = self._indeg0_arr.tolist()
+        indeg0 = [0] * n
+        for t in sdst:
+            indeg0[t] += 1
+        self._rw_l = rw
+        self._rdst_l = rdst
+        self._rptr_l = rptr
+        self._ldst_l = ldst
+        self._lptr_l = lptr
+        self._sdst_l = sdst
+        self._sptr_l = sptr
+        self._indeg0_l = indeg0
         self._identity: list[int] = list(range(n))
 
     # ------------------------------------------------------------------

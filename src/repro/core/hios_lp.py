@@ -10,7 +10,10 @@ distinguishes HIOS-LP from the operator-at-a-time HIOS-MR.
 
 After the spatial mapping, the sliding-window pass of Alg. 2
 (:func:`repro.core.intra_gpu.parallelize`) regroups small co-located
-operators into concurrent stages.
+operators into concurrent stages.  That second level and all of its
+bookkeeping live in :func:`run_hios`, the one pipeline every HIOS
+variant runs: HIOS-MR (:mod:`repro.core.hios_mr`) and HIOS-LP plus
+local search (:mod:`repro.core.refine`) supply only their spatial step.
 
 Both passes run on the incremental engine of :mod:`repro.core.fasteval`
 by default (prefix-replay across the ``M`` GPU candidates of one path;
@@ -22,7 +25,7 @@ tested bit-identical.
 from __future__ import annotations
 
 import time
-from typing import Any, MutableMapping, cast
+from typing import Any, Callable, MutableMapping, cast
 
 from ..costmodel.profile import CostProfile
 from ..obs import declog
@@ -37,7 +40,13 @@ from .priority import priority_order
 from .result import ScheduleResult
 from .schedule import Schedule
 
-__all__ = ["cached_spatial_lp", "schedule_hios_lp", "schedule_inter_gpu_lp"]
+__all__ = [
+    "SpatialMapping",
+    "cached_spatial_lp",
+    "run_hios",
+    "schedule_hios_lp",
+    "schedule_inter_gpu_lp",
+]
 
 
 def _lp_spatial_mapping(
@@ -165,6 +174,69 @@ def cached_spatial_lp(
     return assignment, order, paths
 
 
+#: What a HIOS spatial step (the inter-GPU level) returns:
+#: ``(assignment, priority order, stats, phase_times)``.  The step's own
+#: stats and timings lead the result's, in the order the step writes them.
+SpatialMapping = tuple[dict[str, int], list[str], dict[str, object], dict[str, float]]
+
+
+def run_hios(
+    profile: CostProfile,
+    algorithm: str,
+    spatial: Callable[[EvalCounters], SpatialMapping],
+    window: int,
+    intra_gpu: bool,
+    fast: bool,
+) -> ScheduleResult:
+    """The two-level HIOS pipeline shared by every variant.
+
+    ``spatial`` is the variant's inter-GPU mapping (Alg. 1, Alg. 3, or
+    Alg. 1 plus local search), called with the run's evaluation
+    counters.  Everything after it is common: the singleton schedule
+    of the mapping is validated and priced (its latency is
+    ``stats["inter_gpu_latency"]``), then — unless ``intra_gpu=False``
+    — Alg. 2 regroups each GPU's operators.
+    ``fast`` picks the incremental evaluator or the reference loops
+    for the final evaluation and for Alg. 2 (bit-identical either way).
+    """
+    t0 = time.perf_counter()
+    cache_hits0 = profile.stage_time_cache_hits
+    counters = EvalCounters()
+    assignment, order, stats, phase_times = spatial(counters)
+    schedule: Schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
+    latency = (
+        soa_latency(profile, schedule, validate=True, counters=counters)
+        if fast
+        else evaluate_latency(profile, schedule, validate=True)
+    )
+    stats["inter_gpu_latency"] = latency
+
+    if intra_gpu:
+        t1 = time.perf_counter()
+        schedule, latency, intra_stats = parallelize(
+            profile, schedule, window=window, priority=order, fast=fast, counters=counters
+        )
+        phase_times["intra_gpu"] = time.perf_counter() - t1
+        stats["intra_gpu"] = intra_stats
+
+    counters.cache_hits = profile.stage_time_cache_hits - cache_hits0
+    stats.update(counters.to_stats())
+    stats["phase_times"] = phase_times
+    debug_lint_schedule(
+        profile.graph,
+        schedule,
+        algorithm=algorithm,
+        window=window if intra_gpu else None,
+    )
+    return ScheduleResult(
+        algorithm=algorithm,
+        schedule=schedule,
+        latency=latency,
+        scheduling_time=time.perf_counter() - t0,
+        stats=stats,
+    )
+
+
 def schedule_hios_lp(
     profile: CostProfile,
     window: int = 3,
@@ -181,53 +253,17 @@ def schedule_hios_lp(
     ``spatial_cache`` shares the window-independent Alg. 1 phase across
     calls on the same profile (see :func:`cached_spatial_lp`).
     """
-    t0 = time.perf_counter()
-    cache_hits0 = profile.stage_time_cache_hits
-    counters = EvalCounters()
-    assignment, order, paths = cached_spatial_lp(
-        profile, fast=fast, counters=counters, spatial_cache=spatial_cache
-    )
-    t_spatial = time.perf_counter() - t0
-    schedule: Schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
-    latency = (
-        soa_latency(profile, schedule, validate=True, counters=counters)
-        if fast
-        else evaluate_latency(profile, schedule, validate=True)
-    )
-    stats: dict[str, object] = {"paths": paths, "inter_gpu_latency": latency}
-    phase_times: dict[str, float] = {"spatial_mapping": t_spatial}
 
-    if intra_gpu:
-        t1 = time.perf_counter()
-        schedule, latency, intra_stats = parallelize(
-            profile,
-            schedule,
-            window=window,
-            priority=order,
-            validate=False,  # singleton schedule was validated just above
-            fast=fast,
-            counters=counters,
+    def spatial(counters: EvalCounters) -> SpatialMapping:
+        t0 = time.perf_counter()
+        assignment, order, paths = cached_spatial_lp(
+            profile, fast=fast, counters=counters, spatial_cache=spatial_cache
         )
-        phase_times["intra_gpu"] = time.perf_counter() - t1
-        stats["intra_gpu"] = intra_stats
+        t_spatial = time.perf_counter() - t0
+        return assignment, order, {"paths": paths}, {"spatial_mapping": t_spatial}
 
-    counters.cache_hits = profile.stage_time_cache_hits - cache_hits0
-    stats.update(counters.to_stats())
-    stats["phase_times"] = phase_times
     algorithm = "hios-lp" if intra_gpu else "inter-lp"
-    debug_lint_schedule(
-        profile.graph,
-        schedule,
-        algorithm=algorithm,
-        window=window if intra_gpu else None,
-    )
-    return ScheduleResult(
-        algorithm=algorithm,
-        schedule=schedule,
-        latency=latency,
-        scheduling_time=time.perf_counter() - t0,
-        stats=stats,
-    )
+    return run_hios(profile, algorithm, spatial, window, intra_gpu, fast)
 
 
 def schedule_inter_gpu_lp(

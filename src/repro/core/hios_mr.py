@@ -24,15 +24,20 @@ from typing import Any, MutableMapping, cast
 import numpy as np
 
 from ..costmodel.profile import CostProfile
-from .debuglint import debug_lint_schedule
-from .evaluator import evaluate_latency
 from .fasteval import EvalCounters, soa_latency
+from .hios_lp import SpatialMapping, run_hios
 from .intra_gpu import parallelize
-from .list_schedule import build_singleton_schedule
 from .priority import priority_order
 from .result import ScheduleResult
 
-__all__ = ["cached_spatial_mr", "schedule_hios_mr", "schedule_inter_gpu_mr"]
+__all__ = [
+    "cached_spatial_mr",
+    "schedule_hios_mr",
+    "schedule_inter_gpu_mr",
+    # kept importable for the perfbench benchmark's tracer, which wraps them here
+    "parallelize",
+    "soa_latency",
+]
 
 _INF = float("inf")
 
@@ -241,54 +246,17 @@ def schedule_hios_mr(
     evaluation (bit-identical results).  ``spatial_cache`` shares the
     window-independent mapping phase across calls on the same profile.
     """
-    t0 = time.perf_counter()
-    cache_hits0 = profile.stage_time_cache_hits
-    counters = EvalCounters()
-    assignment, order = cached_spatial_mr(
-        profile, fast=fast, spatial_cache=spatial_cache
-    )
-    t_spatial = time.perf_counter() - t0
-    schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
-    latency = (
-        soa_latency(profile, schedule, validate=True, counters=counters)
-        if fast
-        else evaluate_latency(profile, schedule, validate=True)
-    )
-    stats: dict[str, object] = {"inter_gpu_latency": latency}
-    phase_times: dict[str, float] = {"spatial_mapping": t_spatial}
 
-    if intra_gpu:
-        t1 = time.perf_counter()
-        schedule, latency, intra_stats = parallelize(
-            profile,
-            schedule,
-            window=window,
-            priority=order,
-            validate=False,  # singleton schedule was validated just above
-            fast=fast,
-            counters=counters,
+    def spatial(counters: EvalCounters) -> SpatialMapping:
+        t0 = time.perf_counter()
+        assignment, order = cached_spatial_mr(
+            profile, fast=fast, spatial_cache=spatial_cache
         )
-        phase_times["intra_gpu"] = time.perf_counter() - t1
-        stats["intra_gpu"] = intra_stats
-
-    counters.cache_hits = profile.stage_time_cache_hits - cache_hits0
-    stats.update(counters.to_stats())
-    stats["phase_times"] = phase_times
+        t_spatial = time.perf_counter() - t0
+        return assignment, order, {}, {"spatial_mapping": t_spatial}
 
     algorithm = "hios-mr" if intra_gpu else "inter-mr"
-    debug_lint_schedule(
-        profile.graph,
-        schedule,
-        algorithm=algorithm,
-        window=window if intra_gpu else None,
-    )
-    return ScheduleResult(
-        algorithm=algorithm,
-        schedule=schedule,
-        latency=latency,
-        scheduling_time=time.perf_counter() - t0,
-        stats=stats,
-    )
+    return run_hios(profile, algorithm, spatial, window, intra_gpu, fast)
 
 
 def schedule_inter_gpu_mr(

@@ -45,7 +45,6 @@ def parallelize(
     schedule: Schedule,
     window: int = 3,
     priority: list[str] | None = None,
-    validate: bool = True,
     fast: bool = True,
     counters: EvalCounters | None = None,
 ) -> tuple[Schedule, float, IntraGpuStats]:
@@ -56,9 +55,9 @@ def parallelize(
     stage widths profiled feasible on one GPU).  ``priority`` overrides
     the traversal order (descending priority indicators by default).
 
-    ``validate=False`` skips the entry validation — for internal
-    callers that just built and validated the schedule themselves (the
-    ``HIOS_DEBUG_LINT=1`` self-check still lints the final schedule).
+    ``schedule`` is validated on entry; a schedule that already passed
+    (the HIOS pipeline prices and validates its singleton schedule
+    first) hits the validation stamp and costs O(1).
     ``fast=False`` prices every window candidate with the reference
     :func:`~repro.core.evaluator.evaluate_latency` rebuild instead of
     the :class:`~repro.core.fasteval.StageGraphEvaluator` merge delta;
@@ -69,8 +68,7 @@ def parallelize(
     from .priority import priority_order  # local import avoids cycle at module load
 
     graph = profile.graph
-    if validate:
-        schedule.validate(graph)
+    schedule.validate(graph)
     order = priority if priority is not None else priority_order(graph)
     stats = IntraGpuStats()
     log = declog.active()

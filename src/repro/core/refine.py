@@ -19,12 +19,9 @@ import time
 from typing import Any, Mapping, MutableMapping
 
 from ..costmodel.profile import CostProfile
-from .debuglint import debug_lint_schedule
-from .evaluator import evaluate_latency
-from .fasteval import EvalCounters, PrefixReplayer, soa_latency
-from .hios_lp import cached_spatial_lp
-from .intra_gpu import parallelize
-from .list_schedule import build_singleton_schedule, list_schedule_latency
+from .fasteval import EvalCounters, PrefixReplayer
+from .hios_lp import SpatialMapping, cached_spatial_lp, run_hios
+from .list_schedule import list_schedule_latency
 from .result import ScheduleResult
 
 __all__ = ["local_search_assignment", "schedule_hios_lp_ls"]
@@ -112,58 +109,21 @@ def schedule_hios_lp_ls(
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
     """HIOS-LP with operator-level local search between Alg. 1 and Alg. 2."""
-    t0 = time.perf_counter()
-    cache_hits0 = profile.stage_time_cache_hits
-    counters = EvalCounters()
-    assignment, order, paths = cached_spatial_lp(
-        profile, fast=fast, counters=counters, spatial_cache=spatial_cache
-    )
-    t_spatial = time.perf_counter() - t0
-    assignment, _, moves = local_search_assignment(
-        profile, assignment, order, max_rounds=max_rounds, fast=fast, counters=counters
-    )
-    t_search = time.perf_counter() - t0 - t_spatial
-    schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
-    latency = (
-        soa_latency(profile, schedule, validate=True, counters=counters)
-        if fast
-        else evaluate_latency(profile, schedule, validate=True)
-    )
-    stats: dict[str, object] = {
-        "paths": paths,
-        "local_search_moves": moves,
-        "inter_gpu_latency": latency,
-    }
-    phase_times: dict[str, float] = {
-        "spatial_mapping": t_spatial,
-        "local_search": t_search,
-    }
-    if intra_gpu:
-        t1 = time.perf_counter()
-        schedule, latency, intra_stats = parallelize(
-            profile,
-            schedule,
-            window=window,
-            priority=order,
-            validate=False,  # singleton schedule was validated just above
-            fast=fast,
-            counters=counters,
+
+    def spatial(counters: EvalCounters) -> SpatialMapping:
+        t0 = time.perf_counter()
+        assignment, order, paths = cached_spatial_lp(
+            profile, fast=fast, counters=counters, spatial_cache=spatial_cache
         )
-        phase_times["intra_gpu"] = time.perf_counter() - t1
-        stats["intra_gpu"] = intra_stats
-    counters.cache_hits = profile.stage_time_cache_hits - cache_hits0
-    stats.update(counters.to_stats())
-    stats["phase_times"] = phase_times
-    debug_lint_schedule(
-        profile.graph,
-        schedule,
-        algorithm="hios-lp-ls",
-        window=window if intra_gpu else None,
-    )
-    return ScheduleResult(
-        algorithm="hios-lp-ls",
-        schedule=schedule,
-        latency=latency,
-        scheduling_time=time.perf_counter() - t0,
-        stats=stats,
-    )
+        t_spatial = time.perf_counter() - t0
+        assignment, _, moves = local_search_assignment(
+            profile, assignment, order, max_rounds=max_rounds, fast=fast, counters=counters
+        )
+        t_search = time.perf_counter() - t0 - t_spatial
+        stats: dict[str, object] = {"paths": paths, "local_search_moves": moves}
+        return assignment, order, stats, {
+            "spatial_mapping": t_spatial,
+            "local_search": t_search,
+        }
+
+    return run_hios(profile, "hios-lp-ls", spatial, window, intra_gpu, fast)

@@ -109,38 +109,40 @@ def _surviving_gpus(
     return survivors
 
 
-def _warm_spatial_seed(
-    subgraph: OpGraph, previous: Schedule, survivors: tuple[int, ...]
+def _project_assignment(
+    subgraph: OpGraph,
+    prev_assignment: dict[str, int],
+    slot_map: dict[int, int],
+    width: int,
 ) -> dict[str, int] | None:
-    """Project ``previous`` (original GPU ids) onto the repair subgraph.
+    """Project a previous spatial mapping onto ``width`` new GPU slots.
 
-    Every remaining operator that lived on a survivor keeps its GPU
-    (compacted to the survivor index space); operators stranded on dead
-    GPUs are re-homed greedily onto the least-loaded survivor.  Returns
-    ``None`` when the previous schedule does not cover the subgraph
-    (nothing sound to project).
+    The warm-start seed of both :func:`repair_schedule` and
+    :func:`resize_schedule`: every remaining operator on a kept GPU
+    follows it to its new slot (``slot_map``: old GPU -> new slot);
+    operators on dropped GPUs are re-homed greedily onto the
+    least-loaded slot.  Returns ``None`` when ``prev_assignment`` does
+    not cover the subgraph or maps outside the new width (nothing sound
+    to project).
     """
-    slot = {g: i for i, g in enumerate(survivors)}
-    prev_gpu: dict[str, int] = {}
-    for g in range(previous.num_gpus):
-        for st in previous.stages_on(g):
-            for op in st.ops:
-                prev_gpu[op] = g
     assignment: dict[str, int] = {}
     stranded: list[str] = []
     for v in subgraph.names:
-        g = prev_gpu.get(v)
+        g = prev_assignment.get(v)
         if g is None:
             return None
-        if g in slot:
-            assignment[v] = slot[g]
-        else:
+        slot = slot_map.get(g)
+        if slot is None:
             stranded.append(v)
-    load = [0.0] * len(survivors)
+        elif not (0 <= slot < width):
+            return None
+        else:
+            assignment[v] = slot
+    load = [0.0] * width
     for v, i in assignment.items():
         load[i] += subgraph.cost(v)
     for v in sorted(stranded):
-        i = min(range(len(survivors)), key=lambda j: (load[j], j))
+        i = min(range(width), key=lambda j: (load[j], j))
         assignment[v] = i
         load[i] += subgraph.cost(v)
     return assignment
@@ -237,18 +239,18 @@ def repair_schedule(
     speeds = None
     if profile.gpu_speeds is not None:
         speeds = tuple(profile.gpu_speeds[g] for g in survivors)
-    subprofile = CostProfile(
-        graph=subgraph,
-        concurrency=profile.concurrency,
-        num_gpus=len(survivors),
-        max_streams=profile.max_streams,
-        send_blocking=profile.send_blocking,
-        gpu_speeds=speeds,
+    subprofile = replace(
+        profile, graph=subgraph, num_gpus=len(survivors), gpu_speeds=speeds
     )
 
     seed: dict[str, int] | None = None
     if warm_start_from is not None and algorithm in SPATIAL_CACHE_ALGORITHMS:
-        seed = _warm_spatial_seed(subgraph, warm_start_from, survivors)
+        seed = _project_assignment(
+            subgraph,
+            {op: warm_start_from.gpu_of(op) for op in warm_start_from.operators()},
+            {g: i for i, g in enumerate(survivors)},
+            len(survivors),
+        )
     result, warm_started = _plan_subgraph(
         subprofile, subgraph, seed, algorithm, sched_cache, **kwargs
     )
@@ -318,18 +320,11 @@ def resize_schedule(
     if not remaining:
         raise RepairError("nothing to resize: every operator already finished")
     subgraph = profile.graph.subgraph(remaining)
-    subprofile = CostProfile(
-        graph=subgraph,
-        concurrency=profile.concurrency,
-        num_gpus=profile.num_gpus,
-        max_streams=profile.max_streams,
-        send_blocking=profile.send_blocking,
-        gpu_speeds=profile.gpu_speeds,
-    )
+    subprofile = replace(profile, graph=subgraph)
 
     seed: dict[str, int] | None = None
     if prev_assignment is not None and algorithm in SPATIAL_CACHE_ALGORITHMS:
-        seed = _resize_spatial_seed(
+        seed = _project_assignment(
             subgraph, prev_assignment, slot_map or {}, profile.num_gpus
         )
     result, warm_started = _plan_subgraph(
@@ -343,42 +338,6 @@ def resize_schedule(
         result=result,
         warm_started=warm_started,
     )
-
-
-def _resize_spatial_seed(
-    subgraph: OpGraph,
-    prev_assignment: dict[str, int],
-    slot_map: dict[int, int],
-    new_width: int,
-) -> dict[str, int] | None:
-    """Project ``prev_assignment`` through ``slot_map`` onto the new width.
-
-    Remaining operators on a kept GPU follow it to its new slot;
-    operators on dropped slots are re-homed greedily onto the
-    least-loaded new slot.  Returns ``None`` when ``prev_assignment``
-    does not cover the subgraph or maps outside the new width.
-    """
-    assignment: dict[str, int] = {}
-    stranded: list[str] = []
-    for v in subgraph.names:
-        g = prev_assignment.get(v)
-        if g is None:
-            return None
-        slot = slot_map.get(g)
-        if slot is None:
-            stranded.append(v)
-        elif not (0 <= slot < new_width):
-            return None
-        else:
-            assignment[v] = slot
-    load = [0.0] * new_width
-    for v, i in assignment.items():
-        load[i] += subgraph.cost(v)
-    for v in sorted(stranded):
-        i = min(range(new_width), key=lambda j: (load[j], j))
-        assignment[v] = i
-        load[i] += subgraph.cost(v)
-    return assignment
 
 
 def splice_traces(head: "ExecutionTrace", tail: "ExecutionTrace") -> "ExecutionTrace":

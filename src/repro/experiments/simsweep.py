@@ -26,8 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.api import schedule_graph
-from ..costmodel.profile import CostProfile
 from ..sweep import (
     RandomDagSpec,
     ResultCache,
@@ -42,7 +40,6 @@ from .reporting import SeriesResult
 __all__ = ["sweep_random_dags", "dispatch_units", "SIM_ALGORITHMS"]
 
 SIM_ALGORITHMS = tuple(ALGORITHM_ORDER)
-_SINGLE_GPU = {"sequential", "ios"}
 
 
 def _schedule_kwargs(config: ExperimentConfig, algorithm: str) -> dict[str, object]:
@@ -80,62 +77,28 @@ def sweep_random_dags(
     title: str,
     x_label: str,
     x_values: Sequence[object],
-    profile_factory: Callable[[object, int], CostProfile] | None = None,
+    spec_factory: Callable[[object, int], RandomDagSpec],
     config: ExperimentConfig | None = None,
     algorithms: Sequence[str] = SIM_ALGORITHMS,
-    graph_varies_with_x: bool = True,
     notes: str = "",
-    spec_factory: Callable[[object, int], RandomDagSpec] | None = None,
     jobs: int | None = None,
     cache: ResultCache | None = None,
     progress: SweepProgress | None = None,
 ) -> SeriesResult:
     """Run ``algorithms`` over ``x_values``; average over instances.
 
-    ``spec_factory(x, seed)`` must return the picklable
-    :class:`RandomDagSpec` of one instance — the form every figure
-    driver uses, and the one the parallel engine and result cache
-    require.  ``profile_factory(x, seed)`` (a callable returning a
-    built :class:`CostProfile`) is the legacy escape hatch for ad-hoc
-    sweeps over arbitrary workloads; it cannot cross process
-    boundaries, so it always runs serially and uncached, with the
-    single-GPU baselines reused across x when ``graph_varies_with_x``
-    is false.  With a ``spec_factory`` that reuse needs no flag: the
-    single-GPU algorithms' cache keys are invariant under the
-    multi-GPU-only spec fields, so the engine dedups them wherever the
-    sweep allows it.
+    ``spec_factory(x, seed)`` returns the picklable
+    :class:`RandomDagSpec` of one instance, which the parallel engine
+    and result cache require.  The single-GPU baselines need no
+    special casing: their cache keys are invariant under the
+    multi-GPU-only spec fields, so the engine dedups them across x
+    wherever the sweep allows it.
 
     Seeds follow the module-level contract: instance ``i`` uses
     ``config.seed0 + i``, independent of x, algorithm and dispatch
     order.
     """
     cfg = config or default_config()
-    if spec_factory is not None:
-        return _sweep_units(
-            figure, title, x_label, x_values, spec_factory, cfg, algorithms,
-            notes, jobs, cache, progress,
-        )
-    if profile_factory is None:
-        raise TypeError("pass spec_factory= (preferred) or profile_factory=")
-    return _sweep_serial_legacy(
-        figure, title, x_label, x_values, profile_factory, cfg, algorithms,
-        graph_varies_with_x, notes,
-    )
-
-
-def _sweep_units(
-    figure: str,
-    title: str,
-    x_label: str,
-    x_values: Sequence[object],
-    spec_factory: Callable[[object, int], RandomDagSpec],
-    cfg: ExperimentConfig,
-    algorithms: Sequence[str],
-    notes: str,
-    jobs: int | None,
-    cache: ResultCache | None,
-    progress: SweepProgress | None,
-) -> SeriesResult:
     units: list[WorkUnit] = []
     index: dict[tuple[int, int, str], int] = {}
     for xi, x in enumerate(x_values):
@@ -182,57 +145,4 @@ def _sweep_units(
         or f"mean of {cfg.instances} random instances per point "
         f"({'fast' if cfg.fast else 'full'} config)",
         extras={"std": stds, "sweep": stats.to_dict()},
-    )
-
-
-def _sweep_serial_legacy(
-    figure: str,
-    title: str,
-    x_label: str,
-    x_values: Sequence[object],
-    profile_factory: Callable[[object, int], CostProfile],
-    cfg: ExperimentConfig,
-    algorithms: Sequence[str],
-    graph_varies_with_x: bool,
-    notes: str,
-) -> SeriesResult:
-    series: dict[str, list[float]] = {a: [] for a in algorithms}
-    stds: dict[str, list[float]] = {a: [] for a in algorithms}
-    single_cache: dict[tuple[str, int], float] = {}
-
-    for x in x_values:
-        samples: dict[str, list[float]] = {a: [] for a in algorithms}
-        for i in range(cfg.instances):
-            seed = cfg.seed0 + i  # the seed contract
-            profile = profile_factory(x, seed)
-            for alg in algorithms:
-                if alg in _SINGLE_GPU and not graph_varies_with_x:
-                    key = (alg, seed)
-                    if key not in single_cache:
-                        single_cache[key] = schedule_graph(
-                            profile, alg, **_schedule_kwargs(cfg, alg)
-                        ).latency
-                    samples[alg].append(single_cache[key])
-                else:
-                    samples[alg].append(
-                        schedule_graph(
-                            profile, alg, **_schedule_kwargs(cfg, alg)
-                        ).latency
-                    )
-        for alg in algorithms:
-            vals = np.asarray(samples[alg])
-            series[alg].append(float(vals.mean()))
-            stds[alg].append(float(vals.std(ddof=0)))
-
-    return SeriesResult(
-        figure=figure,
-        title=title,
-        x_label=x_label,
-        y_label="inference latency (ms)",
-        x=list(x_values),
-        series=series,
-        notes=notes
-        or f"mean of {cfg.instances} random instances per point "
-        f"({'fast' if cfg.fast else 'full'} config)",
-        extras={"std": stds},
     )

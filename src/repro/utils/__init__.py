@@ -1,16 +1,11 @@
-"""Utilities: ASCII Gantt/timeline rendering, terminal line charts,
-and Chrome trace-event export for engine traces."""
+"""Utilities: ASCII Gantt/timeline rendering and terminal line charts."""
 
 from .asciiplot import ascii_plot, plot_series_result
-from .chrometrace import chrome_trace_document, save_chrome_trace, trace_to_events
 from .gantt import render_gantt, render_schedule_table
 
 __all__ = [
     "ascii_plot",
-    "chrome_trace_document",
     "plot_series_result",
     "render_gantt",
     "render_schedule_table",
-    "save_chrome_trace",
-    "trace_to_events",
 ]

@@ -217,6 +217,59 @@ def test_stats_counters_present_and_plausible():
     assert ref.stats["window_delta_evals"] == 0
 
 
+_COUNTER_KEYS = ["evals", "suffix_replays", "window_delta_evals", "soa_evals", "cache_hits"]
+#: algorithm -> (stats keys in order, phase_times keys in order): the
+#: result schema every HIOS variant keeps through the shared pipeline
+HIOS_STATS_SCHEMA = {
+    "hios-lp": (
+        ["paths", "inter_gpu_latency", "intra_gpu", *_COUNTER_KEYS, "phase_times"],
+        ["spatial_mapping", "intra_gpu"],
+    ),
+    "inter-lp": (
+        ["paths", "inter_gpu_latency", *_COUNTER_KEYS, "phase_times"],
+        ["spatial_mapping"],
+    ),
+    "hios-mr": (
+        ["inter_gpu_latency", "intra_gpu", *_COUNTER_KEYS, "phase_times"],
+        ["spatial_mapping", "intra_gpu"],
+    ),
+    "inter-mr": (
+        ["inter_gpu_latency", *_COUNTER_KEYS, "phase_times"],
+        ["spatial_mapping"],
+    ),
+    "hios-lp-ls": (
+        [
+            "paths",
+            "local_search_moves",
+            "inter_gpu_latency",
+            "intra_gpu",
+            *_COUNTER_KEYS,
+            "phase_times",
+        ],
+        ["spatial_mapping", "local_search", "intra_gpu"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("algorithm", sorted(HIOS_STATS_SCHEMA))
+def test_hios_stats_schema(algorithm, fast):
+    from repro.core import IntraGpuStats
+
+    prof = random_dag_profile(seed=4, num_gpus=3, num_ops=30, num_layers=5)
+    res = schedule_graph(prof, algorithm, fast=fast)
+    keys, phases = HIOS_STATS_SCHEMA[algorithm]
+    assert res.algorithm == algorithm
+    assert list(res.stats) == keys
+    assert list(res.stats["phase_times"]) == phases
+    assert all(t >= 0.0 for t in res.stats["phase_times"].values())
+    if "intra_gpu" in keys:
+        assert isinstance(res.stats["intra_gpu"], IntraGpuStats)
+        assert res.latency <= res.stats["inter_gpu_latency"]
+    else:
+        assert res.latency == res.stats["inter_gpu_latency"]
+
+
 # ---------------------------------------------------------------------------
 # Bitset closure on OpGraph
 
@@ -277,14 +330,33 @@ def test_stage_time_memo_invalidated_by_graph_mutation():
 
 
 # ---------------------------------------------------------------------------
-# parallelize validate knob + local-search fixed point
+# parallelize entry validation + local-search fixed point
 
 
-def test_parallelize_validate_knob_equivalent():
+def test_parallelize_prevalidated_schedule_is_stamp_hit(monkeypatch):
+    """``parallelize`` always validates on entry; on a schedule that
+    already passed, the check is a stamp hit (no second ``Linter`` run)
+    and the output equals that of a fresh, never-validated copy."""
+    from repro.core import Schedule
+    from repro.lint.framework import Linter
+
     prof = random_dag_profile(seed=12, num_gpus=2, num_ops=30, num_layers=5)
     res = schedule_graph(prof, "inter-lp")
-    a = parallelize(prof, res.schedule, validate=True)
-    b = parallelize(prof, res.schedule, validate=False)
+    fresh = Schedule.from_dict(res.schedule.to_dict())
+    runs = []
+    original = Linter.run
+
+    def counting(self, ctx):
+        runs.append(ctx)
+        return original(self, ctx)
+
+    monkeypatch.setattr(Linter, "run", counting)
+    res.schedule.validate(prof.graph)
+    assert runs == []  # the scheduler's own check stamped it already
+    a = parallelize(prof, res.schedule)
+    assert runs == []  # entry check was a stamp hit
+    b = parallelize(prof, fresh)
+    assert len(runs) == 1  # an unstamped schedule is linted once
     assert a[1] == b[1]
     assert a[0].to_dict() == b[0].to_dict()
 
@@ -297,7 +369,7 @@ def test_parallelize_validate_rejects_corrupt_schedule():
         2,
     )
     with pytest.raises(Exception):
-        parallelize(prof, schedule, validate=True)
+        parallelize(prof, schedule)
 
 
 def test_local_search_fast_reaches_same_fixed_point():

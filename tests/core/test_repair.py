@@ -10,7 +10,7 @@ import pytest
 from repro.core import OpGraph, Schedule, Stage, priority_order, schedule_graph
 from repro.core.repair import (
     RepairError,
-    _warm_spatial_seed,
+    _project_assignment,
     repair_schedule,
     resize_schedule,
     run_with_repair,
@@ -38,6 +38,11 @@ def _config(**kwargs) -> EngineConfig:
         transfer_from_edges=True,
         **kwargs,
     )
+
+
+def _gpu_of(schedule: Schedule) -> dict[str, int]:
+    """The op -> GPU map of ``schedule`` (the projection's input)."""
+    return {op: schedule.gpu_of(op) for op in schedule.operators()}
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +293,8 @@ class TestWarmStart:
         prev.append_stage(Stage(0, ("a",)))
         prev.append_stage(Stage(1, ("b",)))
         prev.append_stage(Stage(2, ("c", "d")))
-        seed = _warm_spatial_seed(g, prev, survivors=(0, 2))
+        # survivors (0, 2) compact to slots 0 and 1
+        seed = _project_assignment(g, _gpu_of(prev), {0: 0, 2: 1}, 2)
         # a keeps slot 0; c,d compact GPU 2 -> slot 1; stranded b
         # re-homes onto the least-loaded survivor (slot 1: 4.0 < 5.0)
         assert seed == {"a": 0, "c": 1, "d": 1, "b": 1}
@@ -297,9 +303,40 @@ class TestWarmStart:
         g = OpGraph()
         g.add_operator("a", cost=1.0, occupancy=0.5)
         g.add_operator("zz", cost=1.0, occupancy=0.5)
-        prev = Schedule(2)
-        prev.append_stage(Stage(0, ("a",)))
-        assert _warm_spatial_seed(g, prev, survivors=(0,)) is None
+        assert _project_assignment(g, {"a": 0}, {0: 0}, 1) is None
+        # a slot outside the new width is nothing sound to project either
+        assert _project_assignment(g, {"a": 0, "zz": 0}, {0: 1}, 1) is None
+
+    def test_repair_seed_is_the_survivor_slot_projection(self, scenario, monkeypatch):
+        """Repair seeds from the pre-failure ``Schedule`` exactly as the
+        projection of its op -> GPU map through the survivor slot map."""
+        import repro.core.repair as repair_mod
+
+        profile, schedule, clean = scenario
+        plan = FaultPlan([GpuFailure(gpu=1, at=clean.latency * 0.4)])
+        head = MultiGpuEngine(_config(faults=plan)).run(profile.graph, schedule)
+        seeds = []
+        plan_subgraph = repair_mod._plan_subgraph
+
+        def recording(subprofile, subgraph, seed_assignment, *args, **kwargs):
+            seeds.append(seed_assignment)
+            return plan_subgraph(subprofile, subgraph, seed_assignment, *args, **kwargs)
+
+        monkeypatch.setattr(repair_mod, "_plan_subgraph", recording)
+        rr = repair_schedule(profile, head.failure, warm_start_from=schedule)
+        survivors = rr.survivors
+        assert survivors == tuple(g for g in range(profile.num_gpus) if g != 1)
+        expected = _project_assignment(
+            rr.subgraph,
+            _gpu_of(schedule),
+            {g: i for i, g in enumerate(survivors)},
+            len(survivors),
+        )
+        assert seeds == [expected]
+        # operators that lived on a survivor keep it (compacted index)
+        for op, slot in expected.items():
+            if schedule.gpu_of(op) != 1:
+                assert survivors[slot] == schedule.gpu_of(op)
 
     def test_bad_seed_falls_back_to_cold(self, scenario):
         """A previous schedule that piled everything onto one survivor
@@ -518,15 +555,6 @@ class TestResizeSchedule:
     re-scheduled at a different GPU count, warm-started from the old
     assignment projected through the lease slot map."""
 
-    @staticmethod
-    def _assignment(schedule: Schedule) -> dict[str, int]:
-        return {
-            op: g
-            for g in range(schedule.num_gpus)
-            for st in schedule.stages_on(g)
-            for op in st.ops
-        }
-
     @pytest.fixture(scope="class")
     def widths(self):
         """The same random DAG profiled at widths 2 and 4."""
@@ -542,7 +570,7 @@ class TestResizeSchedule:
         rr = resize_schedule(
             wide,
             finished,
-            prev_assignment=self._assignment(old),
+            prev_assignment=_gpu_of(old),
             slot_map={0: 0, 1: 1},  # surviving GPUs keep their slots
             algorithm="hios-lp",
         )
@@ -552,12 +580,10 @@ class TestResizeSchedule:
         assert rr.result.latency > 0
 
     def test_shrink_seed_rehomes_stranded_ops(self, widths):
-        from repro.core.repair import _resize_spatial_seed
-
         narrow, wide = widths
         old = schedule_graph(wide, "hios-lp").schedule
         finished = frozenset(priority_order(wide.graph)[:10])
-        assignment = self._assignment(old)
+        assignment = _gpu_of(old)
         # shrink 4 -> 2: slots 1 and 3 survive as the new 0 and 1;
         # operators stranded on the dropped slots are re-homed
         rr = resize_schedule(
@@ -570,7 +596,7 @@ class TestResizeSchedule:
         assert rr.schedule.num_gpus == 2
         assert set(rr.schedule.operators()) == set(wide.graph.names) - finished
         # the projected seed covers every remaining op within the new width
-        seed = _resize_spatial_seed(rr.subgraph, assignment, {1: 0, 3: 1}, 2)
+        seed = _project_assignment(rr.subgraph, assignment, {1: 0, 3: 1}, 2)
         assert seed is not None
         assert set(seed) == set(rr.subgraph.names)
         assert set(seed.values()) <= {0, 1}
@@ -602,7 +628,7 @@ class TestResizeSchedule:
         old = schedule_graph(narrow, "hios-lp").schedule
         finished = frozenset(priority_order(narrow.graph)[:15])
         kwargs = dict(
-            prev_assignment=self._assignment(old),
+            prev_assignment=_gpu_of(old),
             slot_map={0: 0, 1: 1},
             algorithm="hios-lp",
         )

@@ -15,7 +15,7 @@ from repro.experiments import (
     fig14_scheduling_cost,
 )
 from repro.experiments.simsweep import sweep_random_dags
-from repro.models.randomdag import random_dag_profile
+from repro.sweep import RandomDagSpec
 
 TINY = ExperimentConfig(fast=True, instances=1)
 
@@ -80,17 +80,18 @@ class TestSimFigures:
             title="t",
             x_label="m",
             x_values=[2, 4],
-            profile_factory=lambda m, seed: random_dag_profile(
+            spec_factory=lambda m, seed: RandomDagSpec(
                 seed=seed, num_gpus=int(m), num_ops=40, num_layers=5
             ),
             config=TINY,
             algorithms=("sequential", "hios-lp"),
-            graph_varies_with_x=False,
         )
         assert set(r.series) == {"sequential", "hios-lp"}
         assert len(r.series["hios-lp"]) == 2
-        # sequential identical across x (single-GPU cache path)
+        # sequential identical across x: its cache key ignores num_gpus,
+        # so the engine runs it once and shares the payload
         assert r.series["sequential"][0] == r.series["sequential"][1]
+        assert r.extras["sweep"]["deduped"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -160,14 +161,13 @@ class TestStdTracking:
     def test_sweep_records_per_point_stddev(self):
         from repro.experiments import ExperimentConfig
         from repro.experiments.simsweep import sweep_random_dags
-        from repro.models.randomdag import random_dag_profile
 
         r = sweep_random_dags(
             figure="t",
             title="t",
             x_label="m",
             x_values=[2],
-            profile_factory=lambda m, seed: random_dag_profile(
+            spec_factory=lambda m, seed: RandomDagSpec(
                 seed=seed, num_gpus=2, num_ops=30, num_layers=4
             ),
             config=ExperimentConfig(instances=3),
