@@ -64,7 +64,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core.api import ALGORITHMS, schedule_graph
+from .core.api import ALGORITHMS, WINDOW_ALGORITHMS, schedule_graph
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config
 from .experiments.realmodels import MODEL_BUILDERS, default_profiler
 from .utils import render_schedule_table
@@ -473,7 +473,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     profiler = default_profiler(num_gpus=args.gpus)
     profile = profiler.profile(builder(size))
     kwargs: dict[str, object] = (
-        {"window": args.window} if args.algorithm in ("hios-lp", "hios-mr") else {}
+        {"window": args.window} if args.algorithm in WINDOW_ALGORITHMS else {}
     )
     if args.reference_eval and args.algorithm != "sequential":
         kwargs["fast"] = False  # sequential has no evaluation loop to swap

@@ -20,6 +20,7 @@ hios-lp-ls  extension: Alg. 1 + local search + Alg. 2
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 from ..costmodel.concurrency import ConcurrencyModel
@@ -32,7 +33,13 @@ from .refine import schedule_hios_lp_ls
 from .result import ScheduleResult
 from .sequential import schedule_sequential
 
-__all__ = ["ALGORITHMS", "SPATIAL_CACHE_ALGORITHMS", "schedule_graph", "make_profile"]
+__all__ = [
+    "ALGORITHMS",
+    "SPATIAL_CACHE_ALGORITHMS",
+    "WINDOW_ALGORITHMS",
+    "schedule_graph",
+    "make_profile",
+]
 
 ALGORITHMS: dict[str, Callable[..., ScheduleResult]] = {
     "sequential": schedule_sequential,
@@ -45,12 +52,21 @@ ALGORITHMS: dict[str, Callable[..., ScheduleResult]] = {
     "hios-lp-ls": schedule_hios_lp_ls,
 }
 
+
+def _taking(kwarg: str) -> frozenset[str]:
+    """The registered algorithms whose signature has ``kwarg``."""
+    return frozenset(
+        name for name, fn in ALGORITHMS.items() if kwarg in inspect.signature(fn).parameters
+    )
+
+
+#: Algorithms that accept the Alg. 2 sliding-window kwarg ``window``.
+WINDOW_ALGORITHMS = _taking("window")
+
 #: Algorithms that accept a ``spatial_cache`` kwarg: their inter-GPU
 #: mapping phase is window-independent and can be shared across calls
 #: on the same profile (``cached_spatial_lp`` / ``cached_spatial_mr``).
-SPATIAL_CACHE_ALGORITHMS = frozenset(
-    {"hios-lp", "hios-mr", "inter-lp", "inter-mr", "hios-lp-ls"}
-)
+SPATIAL_CACHE_ALGORITHMS = _taking("spatial_cache")
 
 
 def make_profile(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..core.api import schedule_graph
+from ..core.api import WINDOW_ALGORITHMS, schedule_graph
 from ..core.result import ScheduleResult
 from ..costmodel.profile import CostProfile
 from ..models.builder import ModelGraph
@@ -116,7 +116,7 @@ def run_model(
     if profile is None:
         graph_model = MODEL_BUILDERS[model](input_size)
         profile = pp.profile(graph_model)
-    if algorithm in ("hios-lp", "hios-mr"):
+    if algorithm in WINDOW_ALGORITHMS:
         schedule_kwargs.setdefault("window", window)
     result = schedule_graph(profile, algorithm, **schedule_kwargs)
     trace = pp.engine(overlap_launch=overlap_launch).run(profile.graph, result.schedule)
@@ -205,9 +205,7 @@ def run_real_model_series(
         spec = RealModelSpec(model=model, input_size=size, num_gpus=num_gpus)
         for alg in algorithms:
             kwargs: tuple[tuple[str, object], ...] = (
-                (("window", cfg.window),)
-                if alg in ("hios-lp", "hios-mr")
-                else ()
+                (("window", cfg.window),) if alg in WINDOW_ALGORITHMS else ()
             )
             index[(ci, alg)] = len(units)
             units.append(

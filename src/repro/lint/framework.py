@@ -206,9 +206,10 @@ class Linter:
         feasibility core the ``validate()`` wrappers run."""
         return cls(tuple(r for r in all_rules() if r.severity is Severity.ERROR))
 
-    @classmethod
-    def for_packs(cls, *packs: str) -> "Linter":
-        return cls(tuple(r for r in all_rules() if r.pack in packs))
+    def for_packs(self, *packs: str) -> "Linter":
+        """This linter narrowed to the rules of ``packs`` (so
+        ``Linter.errors_only().for_packs(...)`` keeps both filters)."""
+        return Linter(tuple(r for r in self.rules if r.pack in packs))
 
     def run(self, ctx: LintContext) -> LintReport:
         diagnostics: list[Diagnostic] = []

@@ -9,13 +9,17 @@ One event heap drives the whole run, ordered by
   GPU to service, *after* same-instant failures (a fail+repair tie
   leaves the GPU alive) and *before* same-instant outcomes and
   arrivals see the pool;
-* **query outcomes** (priority 2) — a dispatched query (or batch)
+* **outcomes** (priority 2) — a dispatched query (or batch)
   completes, aborts (transfer retry budget exhausted) or is displaced
   (its whole lease fail-stopped); the lease is released;
-* **arrivals / re-admissions** (priority 3) — new requests enter
-  admission control, retried requests re-enter the queue.
+* **arrivals** (priority 3) — new requests enter admission control; a
+  retried request comes back as an arrival with ``attempt > 1``, which
+  re-enters the queue without the capacity check.
 
-After every event the dispatcher drains the queue: highest priority
+Each event kind has one handler (``_on_gpu_fail``, ``_on_gpu_repair``,
+``_on_outcome``, ``_on_arrival``) over the per-run state the simulator
+holds; :meth:`ServeSimulator.run` pops events and calls them.  After
+every event the dispatcher drains the queue: highest priority
 first (FIFO within a priority), leasing the ``gpus_per_query`` lowest
 free GPUs — or, when the backlog exceeds ``overload_queue``, the
 degraded lease size and algorithm.  The queue is sorted once per
@@ -44,7 +48,9 @@ resize cuts the running segment at the current pool time, checkpoints
 the operators finished by the cut, re-plans the remainder warm-started
 from the old placement, and re-executes it on the new lease;
 outcome events carry an epoch so a superseded segment's outcome is
-ignored when it fires.
+ignored when it fires.  A segment's GPU busy time is added to the pool's
+when it ends: at its resize cut (the work finished by then) or when its
+outcome settles.
 
 Everything — arrivals, placement, faults, backoff jitter — is a pure
 function of the :class:`~repro.serve.config.ServeConfig`, so a run
@@ -61,8 +67,9 @@ import heapq
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
+from ..core.api import WINDOW_ALGORITHMS
 from ..core.repair import RepairError, RepairResult, resize_schedule, run_with_repair
 from ..core.schedule import Schedule
 from ..costmodel.profile import CostProfile
@@ -85,8 +92,12 @@ from .zoo import MODEL_ZOO, zoo_profile
 
 __all__ = ["ServeError", "ServeResult", "ServeSimulator", "serve"]
 
-#: Algorithms that accept the sliding-window kwarg.
-_WINDOW_ALGS = frozenset({"hios-lp", "hios-mr", "hios-lp-ls"})
+#: The run's counters, named after their ``ServeReport.from_records``
+#: parameters.
+_COUNTERS = (
+    "retries", "displaced", "degraded_dispatches", "revived", "elastic_grows",
+    "elastic_shrinks", "sched_cache_hits", "sched_cache_misses", "warm_starts",
+)
 
 # event priorities: pool failures reshape the world first, repairs heal
 # it next (a same-instant fail+repair leaves the GPU alive), then
@@ -213,19 +224,13 @@ class ServeSimulator:
         # segment: a pure function of (graph, schedule, base engine), so
         # it runs on the engine once and is shared read-only afterwards
         self._clean_runs: dict[tuple[str, int, str], tuple[ExecutionTrace, dict[str, int]]] = {}
-        # wall-clock scheduling cost + cache traffic (host time, not the
-        # simulated clock; reset per run())
-        self._sched_s = 0.0
-        self._sched_cache_hits = 0
-        self._sched_cache_misses = 0
-        self._warm_starts = 0
 
     # ------------------------------------------------------------------
     # scheduling (memoized — the zoo is small and leases repeat; the
     # persistent cache, when given, backs the memo across restarts)
     # ------------------------------------------------------------------
     def _alg_kwargs(self, algorithm: str) -> dict[str, Any]:
-        if algorithm in _WINDOW_ALGS:
+        if algorithm in WINDOW_ALGORITHMS:
             return {"window": self.config.window}
         return {}
 
@@ -242,10 +247,7 @@ class ServeSimulator:
                 **self._alg_kwargs(algorithm),
             )
             self._sched_s += time.perf_counter() - t0
-            if hit:
-                self._sched_cache_hits += 1
-            else:
-                self._sched_cache_misses += 1
+            self._counts["sched_cache_hits" if hit else "sched_cache_misses"] += 1
             cached = (profile, result.schedule, result.latency)
             self._schedules[key] = cached
         return cached
@@ -289,13 +291,10 @@ class ServeSimulator:
     # ------------------------------------------------------------------
     def run(self) -> ServeResult:
         cfg = self.config
-        self._sched_s = 0.0
-        self._sched_cache_hits = 0
-        self._sched_cache_misses = 0
-        self._warm_starts = 0
-        pool = GpuPool(cfg.num_gpus)
+        # per-run state, read and written by the handlers below
+        self._pool = GpuPool(cfg.num_gpus)
         requests = build_arrivals(cfg)
-        records = {
+        self._records = {
             r.id: RequestRecord(
                 id=r.id,
                 tenant=r.tenant,
@@ -306,457 +305,410 @@ class ServeSimulator:
             )
             for r in requests
         }
-        queue: list[_QueueEntry] = []
-        heap: list[tuple[float, int, int, str, Any]] = []
-        seq = 0
-
-        def push(time: float, prio: int, kind: str, payload: Any) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (time, prio, seq, kind, payload))
-            seq += 1
-
+        self._queue: list[_QueueEntry] = []
+        self._heap: list[tuple[float, int, int, str, Any]] = []
+        self._seq = 0
+        self._in_flight: dict[str, _InFlight] = {}
+        self._gpu_busy: dict[int, float] = {}
+        self._sched_s = 0.0  # wall-clock scheduling cost (host time, not sim time)
+        self._counts = dict.fromkeys(_COUNTERS, 0)
         for r in requests:
-            push(r.arrival_ms, _PRIO_ARRIVAL, "arrival", _QueueEntry(r))
+            self._push(r.arrival_ms, _PRIO_ARRIVAL, "arrival", _QueueEntry(r))
         for f in self._plan.failures():
-            push(f.at, _PRIO_FAIL, "gpu-fail", f.gpu)
+            self._push(f.at, _PRIO_FAIL, "gpu-fail", f.gpu)
         for rp in self._plan.repairs():
-            push(rp.at, _PRIO_REPAIR, "gpu-repair", rp.gpu)
+            self._push(rp.at, _PRIO_REPAIR, "gpu-repair", rp.gpu)
 
-        retries = 0
-        displaced = 0
-        degraded_dispatches = 0
-        revived = 0
-        elastic_grows = 0
-        elastic_shrinks = 0
-        gpu_busy: dict[int, float] = {}
-        in_flight: dict[str, _InFlight] = {}
+        handlers: dict[str, Callable[[float, Any], None]] = {
+            "gpu-fail": self._on_gpu_fail,
+            "gpu-repair": self._on_gpu_repair,
+            "outcome": self._on_outcome,
+            "arrival": self._on_arrival,
+        }
+        while self._heap:
+            now, _prio, _seq, kind, payload = heapq.heappop(self._heap)
+            handlers[kind](now, payload)
+            self._dispatch(now)
+            while cfg.elastic and self._elastic_pass(now):
+                self._dispatch(now)
 
-        # ------------------------------------------------------------------
-        def fail_request(now: float, entry: _QueueEntry, reason: str) -> None:
-            rec = records[entry.request.id]
-            rec.status = "failed"
-            rec.reason = reason
-            emit("serve-fail", t=now, request=entry.request.id, reason=reason)
+        for entry in self._queue:  # pragma: no cover - defensive (heap drained first)
+            self._fail_request(cfg.horizon_ms, entry, "starved at end of run")
 
-        def retry_or_fail(now: float, entry: _QueueEntry, reason: str) -> None:
-            nonlocal retries
-            if entry.attempt > cfg.max_retries:
-                fail_request(now, entry, f"{reason}: retries exhausted")
-                return
-            ceiling = cfg.retry_backoff_ms * (2 ** (entry.attempt - 1))
-            delay = ceiling
-            if cfg.retry_jitter:
-                rng = random.Random(
-                    f"{cfg.seed}:retry:{entry.request.id}:{entry.attempt}"
-                )
-                delay = ceiling * rng.random()
-            retries += 1
-            emit(
-                "serve-retry",
-                t=now,
-                request=entry.request.id,
-                attempt=entry.attempt + 1,
-                delay_ms=delay,
-                reason=reason,
-            )
-            push(
-                now + delay,
-                _PRIO_ARRIVAL,
-                "requeue",
-                _QueueEntry(entry.request, attempt=entry.attempt + 1),
-            )
-
-        def fold_busy(lease: tuple[int, ...], seg_busy: dict[int, float]) -> None:
-            for g_local, busy in seg_busy.items():
-                gpu = lease[g_local]
-                gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + busy
-
-        def dispatch(now: float) -> None:
-            nonlocal degraded_dispatches
-            if not queue:
-                return
-            if pool.num_alive == 0:
-                for entry in queue:
-                    fail_request(now, entry, "no GPUs left in the pool")
-                queue.clear()
-                return
-            # sort once per round — pops below preserve the order — and
-            # latch the overload verdict so a burst that starts degraded
-            # drains degraded instead of flipping mid-round
-            queue.sort(
-                key=lambda e: (
-                    -e.request.priority,
-                    e.request.arrival_ms,
-                    e.request.id,
-                )
-            )
-            overloaded = len(queue) > cfg.overload_queue
-            while queue:
-                k = cfg.degraded_gpus if overloaded else cfg.gpus_per_query
-                k = min(k, pool.num_alive)
-                if pool.num_free < k:
-                    return
-                entry = queue.pop(0)
-                req = entry.request
-                rec = records[req.id]
-                algorithm = cfg.degraded_algorithm if overloaded else cfg.algorithm
-                profile, schedule, predicted = self._planned(req.model, k, algorithm)
-                if cfg.shed_late and now + predicted > req.deadline_ms:
-                    rec.status = "shed-deadline"
-                    rec.reason = (
-                        f"predicted finish {now + predicted:.3f} ms past "
-                        f"deadline {req.deadline_ms:.3f} ms"
-                    )
-                    emit(
-                        "serve-shed",
-                        t=now,
-                        request=req.id,
-                        reason="deadline",
-                        predicted_ms=predicted,
-                    )
-                    continue
-                # merge queued same-model requests into the leader's
-                # dispatch; members predicted to miss their deadline are
-                # left queued (they shed at their own dispatch)
-                members = [entry]
-                if cfg.max_batch > 1:
-                    i = 0
-                    while i < len(queue) and len(members) < cfg.max_batch:
-                        cand = queue[i]
-                        if cand.request.model == req.model and not (
-                            cfg.shed_late
-                            and now + predicted > cand.request.deadline_ms
-                        ):
-                            members.append(queue.pop(i))
-                        else:
-                            i += 1
-                lease = pool.lease(req.id, k)
-                fl = _InFlight(
-                    members=members,
-                    lease=lease,
-                    model=req.model,
-                    algorithm=algorithm,
-                    names=profile.graph.names,
-                    segment_start_ms=now,
-                )
-                in_flight[req.id] = fl
-                rec.lease_segments = [(now, lease)]
-                for m in members:
-                    mrec = records[m.request.id]
-                    mrec.dispatched_ms = now
-                    mrec.gpus = lease
-                    mrec.algorithm = algorithm
-                    mrec.attempts += 1
-                    mrec.batch = len(members)
-                    mrec.batched_with = "" if m is entry else req.id
-                    if overloaded:
-                        mrec.degraded = True
-                if overloaded:
-                    degraded_dispatches += 1
-                emit(
-                    "serve-dispatch",
-                    t=now,
-                    request=req.id,
-                    gpus=list(lease),
-                    algorithm=algorithm,
-                    degraded=overloaded,
-                    attempt=entry.attempt,
-                    predicted_ms=predicted,
-                    batch=len(members),
-                )
-                self._execute(now, fl, profile, schedule, predicted, push, gpu_busy)
-
-        # ------------------------------------------------------------------
-        def try_resize(now: float, fl: _InFlight, target: int) -> bool:
-            """Cut ``fl``'s running segment and re-plan it at ``target`` GPUs.
-
-            Returns ``False`` (leaving the query untouched) when there
-            is nothing left to re-plan — the segment's remaining work
-            all finished by the cut, or its trace is already doomed.
-            """
-            if fl.pending != "complete" or fl.trace is None:
-                return False
-            live = tuple(g for g in fl.lease if g not in pool.dead)
-            if not live or target == len(live):
-                return False
-            cut = now - fl.segment_start_ms
-            # trace order, not set order: the busy-time sum below must
-            # not depend on string hashing to be bit-reproducible
-            seg_done = [op for op, t in fl.trace.op_finish.items() if t <= cut]
-            finished = fl.finished.union(seg_done)
-            if len(finished) >= len(fl.names):
-                return False  # effectively done; let the outcome fire
-            grow = target > len(live)
-            if grow:
-                extra = sorted(pool.free)[: target - len(live)]
-                new_lease = tuple(sorted(live + tuple(extra)))
-            else:
-                new_lease = live[:target]
-            # fold the head's busy time now: only work finished by the
-            # cut happened (the superseded tail never runs)
-            for op in seg_done:
-                g_local = fl.op_gpu.get(op)
-                if g_local is None or g_local >= len(fl.lease):
-                    continue
-                gpu = fl.lease[g_local]
-                gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + (
-                    fl.trace.op_finish[op] - fl.trace.op_start[op]
-                )
-            fl.repairs_done += sum(
-                1 for r in fl.seg_repairs if r.failure.time <= cut
-            )
-            old_lease = fl.lease
-            slot_map = {
-                old_lease.index(g): new_lease.index(g)
-                for g in old_lease
-                if g in new_lease
-            }
-            profile = zoo_profile(fl.model, len(new_lease))
-            t0 = time.perf_counter()
-            try:
-                rr = resize_schedule(
-                    profile,
-                    finished,
-                    prev_assignment=dict(fl.op_gpu),
-                    slot_map=slot_map,
-                    algorithm=fl.algorithm,
-                    sched_cache=self._sched_cache,
-                    **self._alg_kwargs(fl.algorithm),
-                )
-            except RepairError:  # pragma: no cover - guarded above
-                return False
-            finally:
-                self._sched_s += time.perf_counter() - t0
-            if rr.warm_started:
-                self._warm_starts += 1
-            pool.resize(fl.qid, new_lease)
-            fl.lease = new_lease
-            fl.finished = finished
-            fl.segment_start_ms = now
-            fl.epoch += 1
-            for m in fl.members:
-                records[m.request.id].gpus = new_lease
-            records[fl.qid].resizes += 1
-            records[fl.qid].lease_segments.append((now, new_lease))
-            emit(
-                "serve-resize",
-                t=now,
-                request=fl.qid,
-                gpus=list(new_lease),
-                grow=grow,
-                remaining_ops=len(fl.names) - len(finished),
-                predicted_ms=rr.predicted_tail_latency,
-            )
-            self._run_segment(
-                now,
-                fl,
-                rr.subprofile,
-                rr.schedule,
-                rr.predicted_tail_latency,
-                push,
-                tag=f"{fl.qid}/e{fl.epoch}",
-            )
-            return True
-
-        def elastic_pass(now: float) -> str | None:
-            """One elastic action; the caller re-dispatches after each.
-
-            Grows fire when free GPUs cannot serve queued work anyway —
-            the queue is empty, or it is (non-overloaded) blocked on a
-            full-width lease the free set cannot cover; shrinks fire
-            only when an overloaded backlog cannot lease even a
-            degraded slot.  Each success strictly widens or narrows
-            one lease, so the caller's drain loop terminates.
-            """
-            grow_ok = pool.num_free > 0 and (
-                not queue
-                or (
-                    len(queue) <= cfg.overload_queue
-                    and pool.num_free < min(cfg.gpus_per_query, pool.num_alive)
-                )
-            )
-            if grow_ok:
-                for qid in sorted(in_flight):
-                    fl = in_flight[qid]
-                    live = [g for g in fl.lease if g not in pool.dead]
-                    target = min(cfg.gpus_per_query, len(live) + pool.num_free)
-                    if target > len(live) and try_resize(now, fl, target):
-                        return "grow"
-            if len(queue) > cfg.overload_queue:
-                k = min(cfg.degraded_gpus, pool.num_alive)
-                if 1 <= k and pool.num_free < k:
-                    order = sorted(
-                        in_flight,
-                        key=lambda q: (-len(in_flight[q].lease), q),
-                    )
-                    for qid in order:
-                        fl = in_flight[qid]
-                        live = [g for g in fl.lease if g not in pool.dead]
-                        if len(live) > cfg.degraded_gpus and try_resize(
-                            now, fl, cfg.degraded_gpus
-                        ):
-                            return "shrink"
-            return None
-
-        # ------------------------------------------------------------------
-        while heap:
-            now, _prio, _seq, kind, payload = heapq.heappop(heap)
-            if kind == "gpu-fail":
-                holder = pool.fail(payload)
-                emit("serve-gpu-fail", t=now, gpu=payload, holder=holder)
-            elif kind == "gpu-repair":
-                was_dead = pool.revive(payload)
-                if was_dead:
-                    revived += 1
-                emit("serve-gpu-repair", t=now, gpu=payload, revived=was_dead)
-            elif kind == "arrival":
-                entry = payload
-                rec = records[entry.request.id]
-                if len(queue) >= cfg.queue_capacity:
-                    rec.status = "shed-queue"
-                    rec.reason = f"queue full ({cfg.queue_capacity})"
-                    emit(
-                        "serve-shed",
-                        t=now,
-                        request=entry.request.id,
-                        reason="queue-full",
-                    )
-                else:
-                    queue.append(entry)
-                    emit(
-                        "serve-admit",
-                        t=now,
-                        request=entry.request.id,
-                        tenant=entry.request.tenant,
-                        queued=len(queue),
-                    )
-            elif kind == "requeue":
-                # re-admissions bypass the capacity check: the work was
-                # already admitted once and should not be double-punished
-                # for a fault that was not its fault
-                queue.append(payload)
-                emit(
-                    "serve-admit",
-                    t=now,
-                    request=payload.request.id,
-                    tenant=payload.request.tenant,
-                    queued=len(queue),
-                    readmitted=True,
-                )
-            elif kind in ("complete", "abort", "displace"):
-                qid, epoch, extra = payload
-                fl = in_flight.get(qid)
-                if fl is None or fl.epoch != epoch:
-                    # superseded by an elastic resize; the fresh outcome
-                    # event (or the release itself) already happened
-                    if not cfg.elastic:
-                        raise ServeError(f"outcome for {qid!r} without a lease")
-                    continue
-                in_flight.pop(qid)
-                lease = fl.lease
-                pool.release(qid)
-                for m in fl.members:
-                    records[m.request.id].released_ms = now
-                if cfg.elastic and fl.trace is not None:
-                    # deferred accounting: the final segment's busy time
-                    # lands when the outcome settles (earlier segments
-                    # folded theirs at their resize cuts)
-                    fold_busy(lease, fl.trace.gpu_busy)
-                if kind == "complete":
-                    num_repairs = fl.repairs_done + extra
-                    records[qid].repairs += num_repairs
-                    for m in fl.members:
-                        mrec = records[m.request.id]
-                        mrec.status = "completed"
-                        mrec.completed_ms = now
-                        mrec.latency_ms = now - mrec.arrival_ms
-                        mrec.deadline_met = now <= mrec.deadline_ms
-                    emit(
-                        "serve-complete",
-                        t=now,
-                        request=qid,
-                        latency_ms=records[qid].latency_ms,
-                        repairs=num_repairs,
-                        deadline_met=records[qid].deadline_met,
-                        batch=len(fl.members),
-                    )
-                elif kind == "abort":
-                    emit("serve-abort", t=now, request=qid, reason=extra)
-                    for m in fl.members:
-                        retry_or_fail(now, m, extra)
-                else:  # displace: the whole lease fail-stopped
-                    num_repairs = fl.repairs_done + extra
-                    records[qid].repairs += num_repairs
-                    for m in fl.members:
-                        records[m.request.id].displaced += 1
-                        displaced += 1
-                    emit(
-                        "serve-displaced",
-                        t=now,
-                        request=qid,
-                        gpus=list(lease),
-                        repairs=num_repairs,
-                        batch=len(fl.members),
-                    )
-                    for m in fl.members:
-                        retry_or_fail(now, m, "lease lost to GPU failure")
-            else:  # pragma: no cover - defensive
-                raise ServeError(f"unknown event kind {kind!r}")
-            dispatch(now)
-            if cfg.elastic:
-                action = elastic_pass(now)
-                while action is not None:
-                    if action == "grow":
-                        elastic_grows += 1
-                    else:
-                        elastic_shrinks += 1
-                    dispatch(now)
-                    action = elastic_pass(now)
-
-        for entry in queue:  # pragma: no cover - defensive (heap drained first)
-            fail_request(cfg.horizon_ms, entry, "starved at end of run")
-
+        records = tuple(self._records.values())
         report = ServeReport.from_records(
-            list(records.values()),
-            retries=retries,
-            displaced=displaced,
-            degraded_dispatches=degraded_dispatches,
-            gpu_busy_ms=gpu_busy,
+            list(records),
+            gpu_busy_ms=self._gpu_busy,
             horizon_ms=cfg.horizon_ms,
-            revived=revived,
-            elastic_grows=elastic_grows,
-            elastic_shrinks=elastic_shrinks,
             sched_ms=self._sched_s * 1000.0,
-            sched_cache_hits=self._sched_cache_hits,
-            sched_cache_misses=self._sched_cache_misses,
-            warm_starts=self._warm_starts,
+            **self._counts,
         )
-        return ServeResult(
-            config=cfg,
-            report=report,
-            records=tuple(records.values()),
-        )
+        return ServeResult(config=cfg, report=report, records=records)
+
+    def _push(self, time: float, prio: int, kind: str, payload: Any) -> None:
+        heapq.heappush(self._heap, (time, prio, self._seq, kind, payload))
+        self._seq += 1
 
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        now: float,
-        fl: _InFlight,
-        profile: CostProfile,
-        schedule: Schedule,
-        predicted: float,
-        push: Callable[[float, int, str, Any], None],
-        gpu_busy: dict[int, float],
-    ) -> None:
-        """Run the query's first segment on its lease and push its outcome."""
-        self._run_segment(now, fl, profile, schedule, predicted, push, tag=fl.qid)
-        # without elastic resizing the outcome can never be superseded,
-        # so the busy time folds eagerly (the original accounting order)
-        if not self.config.elastic and fl.trace is not None:
-            for g_local, busy in fl.trace.gpu_busy.items():
-                gpu = fl.lease[g_local]
-                gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + busy
+    # event handlers, one per kind
+    # ------------------------------------------------------------------
+    def _on_gpu_fail(self, now: float, gpu: int) -> None:
+        holder = self._pool.fail(gpu)
+        emit("serve-gpu-fail", t=now, gpu=gpu, holder=holder)
 
+    def _on_gpu_repair(self, now: float, gpu: int) -> None:
+        was_dead = self._pool.revive(gpu)
+        if was_dead:
+            self._counts["revived"] += 1
+        emit("serve-gpu-repair", t=now, gpu=gpu, revived=was_dead)
+
+    def _on_arrival(self, now: float, entry: _QueueEntry) -> None:
+        req = entry.request
+        # re-admissions (attempt > 1) bypass the capacity check: the work
+        # was already admitted once and should not be double-punished for
+        # a fault that was not its fault
+        if entry.attempt == 1 and len(self._queue) >= self.config.queue_capacity:
+            rec = self._records[req.id]
+            rec.status = "shed-queue"
+            rec.reason = f"queue full ({self.config.queue_capacity})"
+            emit("serve-shed", t=now, request=req.id, reason="queue-full")
+            return
+        self._queue.append(entry)
+        readmitted = {"readmitted": True} if entry.attempt > 1 else {}
+        emit(
+            "serve-admit",
+            t=now,
+            request=req.id,
+            tenant=req.tenant,
+            queued=len(self._queue),
+            **readmitted,
+        )
+
+    def _on_outcome(self, now: float, payload: tuple[str, int, str, Any]) -> None:
+        """Settle a segment's ``complete`` / ``abort`` / ``displace`` verdict."""
+        qid, epoch, verdict, extra = payload
+        fl = self._in_flight.get(qid)
+        if fl is None or fl.epoch != epoch:
+            # superseded by an elastic resize; the fresh outcome event
+            # (or the release itself) already happened
+            if not self.config.elastic:
+                raise ServeError(f"outcome for {qid!r} without a lease")
+            return
+        del self._in_flight[qid]
+        self._pool.release(qid)
+        records = self._records
+        for m in fl.members:
+            records[m.request.id].released_ms = now
+        if fl.trace is not None:
+            # the final segment's busy time lands when its outcome
+            # settles (earlier segments folded theirs at their resize cuts)
+            self._fold_busy(fl.lease, fl.trace.gpu_busy.items())
+        if verdict == "abort":
+            emit("serve-abort", t=now, request=qid, reason=extra)
+            for m in fl.members:
+                self._retry_or_fail(now, m, extra)
+            return
+        num_repairs = fl.repairs_done + extra
+        records[qid].repairs += num_repairs
+        if verdict == "complete":
+            for m in fl.members:
+                mrec = records[m.request.id]
+                mrec.status = "completed"
+                mrec.completed_ms = now
+                mrec.latency_ms = now - mrec.arrival_ms
+                mrec.deadline_met = now <= mrec.deadline_ms
+            emit(
+                "serve-complete",
+                t=now,
+                request=qid,
+                latency_ms=records[qid].latency_ms,
+                repairs=num_repairs,
+                deadline_met=records[qid].deadline_met,
+                batch=len(fl.members),
+            )
+            return
+        # displace: the whole lease fail-stopped
+        for m in fl.members:
+            records[m.request.id].displaced += 1
+        self._counts["displaced"] += len(fl.members)
+        emit(
+            "serve-displaced",
+            t=now,
+            request=qid,
+            gpus=list(fl.lease),
+            repairs=num_repairs,
+            batch=len(fl.members),
+        )
+        for m in fl.members:
+            self._retry_or_fail(now, m, "lease lost to GPU failure")
+
+    # ------------------------------------------------------------------
+    # request bookkeeping
+    # ------------------------------------------------------------------
+    def _fail_request(self, now: float, entry: _QueueEntry, reason: str) -> None:
+        rec = self._records[entry.request.id]
+        rec.status = "failed"
+        rec.reason = reason
+        emit("serve-fail", t=now, request=entry.request.id, reason=reason)
+
+    def _retry_or_fail(self, now: float, entry: _QueueEntry, reason: str) -> None:
+        """Re-admit ``entry`` after a seeded backoff, as an ``arrival``
+        with the next attempt number, or fail it when out of retries."""
+        cfg = self.config
+        if entry.attempt > cfg.max_retries:
+            self._fail_request(now, entry, f"{reason}: retries exhausted")
+            return
+        ceiling = cfg.retry_backoff_ms * (2 ** (entry.attempt - 1))
+        delay = ceiling
+        if cfg.retry_jitter:
+            rng = random.Random(f"{cfg.seed}:retry:{entry.request.id}:{entry.attempt}")
+            delay = ceiling * rng.random()
+        self._counts["retries"] += 1
+        emit(
+            "serve-retry",
+            t=now,
+            request=entry.request.id,
+            attempt=entry.attempt + 1,
+            delay_ms=delay,
+            reason=reason,
+        )
+        retry = _QueueEntry(entry.request, attempt=entry.attempt + 1)
+        self._push(now + delay, _PRIO_ARRIVAL, "arrival", retry)
+
+    def _fold_busy(self, lease: tuple[int, ...], busy: Iterable[tuple[int, float]]) -> None:
+        """Add ``(lease-local GPU, busy ms)`` pairs to the pool's busy time."""
+        gpu_busy = self._gpu_busy
+        for g_local, ms in busy:
+            gpu = lease[g_local]
+            gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + ms
+
+    # ------------------------------------------------------------------
+    # dispatch
+    # ------------------------------------------------------------------
+    def _dispatch(self, now: float) -> None:
+        cfg = self.config
+        queue = self._queue
+        pool = self._pool
+        records = self._records
+        if not queue:
+            return
+        if pool.num_alive == 0:
+            for entry in queue:
+                self._fail_request(now, entry, "no GPUs left in the pool")
+            queue.clear()
+            return
+        # sort once per round — pops below preserve the order — and
+        # latch the overload verdict so a burst that starts degraded
+        # drains degraded instead of flipping mid-round
+        queue.sort(key=lambda e: (-e.request.priority, e.request.arrival_ms, e.request.id))
+        overloaded = len(queue) > cfg.overload_queue
+        while queue:
+            k = cfg.degraded_gpus if overloaded else cfg.gpus_per_query
+            k = min(k, pool.num_alive)
+            if pool.num_free < k:
+                return
+            entry = queue.pop(0)
+            req = entry.request
+            rec = records[req.id]
+            algorithm = cfg.degraded_algorithm if overloaded else cfg.algorithm
+            profile, schedule, predicted = self._planned(req.model, k, algorithm)
+            if cfg.shed_late and now + predicted > req.deadline_ms:
+                rec.status = "shed-deadline"
+                rec.reason = (
+                    f"predicted finish {now + predicted:.3f} ms past "
+                    f"deadline {req.deadline_ms:.3f} ms"
+                )
+                emit(
+                    "serve-shed",
+                    t=now,
+                    request=req.id,
+                    reason="deadline",
+                    predicted_ms=predicted,
+                )
+                continue
+            # merge queued same-model requests into the leader's
+            # dispatch; members predicted to miss their deadline are
+            # left queued (they shed at their own dispatch)
+            members = [entry]
+            if cfg.max_batch > 1:
+                i = 0
+                while i < len(queue) and len(members) < cfg.max_batch:
+                    cand = queue[i]
+                    if cand.request.model == req.model and not (
+                        cfg.shed_late and now + predicted > cand.request.deadline_ms
+                    ):
+                        members.append(queue.pop(i))
+                    else:
+                        i += 1
+            lease = pool.lease(req.id, k)
+            fl = _InFlight(
+                members=members,
+                lease=lease,
+                model=req.model,
+                algorithm=algorithm,
+                names=profile.graph.names,
+                segment_start_ms=now,
+            )
+            self._in_flight[req.id] = fl
+            rec.lease_segments = [(now, lease)]
+            for m in members:
+                mrec = records[m.request.id]
+                mrec.dispatched_ms = now
+                mrec.gpus = lease
+                mrec.algorithm = algorithm
+                mrec.attempts += 1
+                mrec.batch = len(members)
+                mrec.batched_with = "" if m is entry else req.id
+                if overloaded:
+                    mrec.degraded = True
+            if overloaded:
+                self._counts["degraded_dispatches"] += 1
+            emit(
+                "serve-dispatch",
+                t=now,
+                request=req.id,
+                gpus=list(lease),
+                algorithm=algorithm,
+                degraded=overloaded,
+                attempt=entry.attempt,
+                predicted_ms=predicted,
+                batch=len(members),
+            )
+            self._run_segment(now, fl, profile, schedule, predicted, tag=fl.qid)
+
+    # ------------------------------------------------------------------
+    # elastic leases
+    # ------------------------------------------------------------------
+    def _try_resize(self, now: float, fl: _InFlight, target: int) -> bool:
+        """Cut ``fl``'s running segment and re-plan it at ``target`` GPUs.
+
+        Returns ``False`` (leaving the query untouched) when there
+        is nothing left to re-plan — the segment's remaining work
+        all finished by the cut, or its trace is already doomed.
+        """
+        pool = self._pool
+        trace = fl.trace
+        if fl.pending != "complete" or trace is None:
+            return False
+        live = tuple(g for g in fl.lease if g not in pool.dead)
+        if not live or target == len(live):
+            return False
+        cut = now - fl.segment_start_ms
+        # trace order, not set order: the busy-time sum below must
+        # not depend on string hashing to be bit-reproducible
+        seg_done = [op for op, t in trace.op_finish.items() if t <= cut]
+        finished = fl.finished.union(seg_done)
+        if len(finished) >= len(fl.names):
+            return False  # effectively done; let the outcome fire
+        grow = target > len(live)
+        if grow:
+            extra = sorted(pool.free)[: target - len(live)]
+            new_lease = tuple(sorted(live + tuple(extra)))
+        else:
+            new_lease = live[:target]
+        # fold the head's busy time now: only work finished by the
+        # cut happened (the superseded tail never runs)
+        width = len(fl.lease)
+        self._fold_busy(
+            fl.lease,
+            (
+                (fl.op_gpu[op], trace.op_finish[op] - trace.op_start[op])
+                for op in seg_done
+                if fl.op_gpu.get(op, width) < width
+            ),
+        )
+        fl.repairs_done += sum(1 for r in fl.seg_repairs if r.failure.time <= cut)
+        old_lease = fl.lease
+        slot_map = {old_lease.index(g): new_lease.index(g) for g in old_lease if g in new_lease}
+        profile = zoo_profile(fl.model, len(new_lease))
+        t0 = time.perf_counter()
+        try:
+            rr = resize_schedule(
+                profile,
+                finished,
+                prev_assignment=dict(fl.op_gpu),
+                slot_map=slot_map,
+                algorithm=fl.algorithm,
+                sched_cache=self._sched_cache,
+                **self._alg_kwargs(fl.algorithm),
+            )
+        except RepairError:  # pragma: no cover - guarded above
+            return False
+        finally:
+            self._sched_s += time.perf_counter() - t0
+        if rr.warm_started:
+            self._counts["warm_starts"] += 1
+        pool.resize(fl.qid, new_lease)
+        fl.lease = new_lease
+        fl.finished = finished
+        fl.segment_start_ms = now
+        fl.epoch += 1
+        for m in fl.members:
+            self._records[m.request.id].gpus = new_lease
+        self._records[fl.qid].resizes += 1
+        self._records[fl.qid].lease_segments.append((now, new_lease))
+        emit(
+            "serve-resize",
+            t=now,
+            request=fl.qid,
+            gpus=list(new_lease),
+            grow=grow,
+            remaining_ops=len(fl.names) - len(finished),
+            predicted_ms=rr.predicted_tail_latency,
+        )
+        self._run_segment(
+            now,
+            fl,
+            rr.subprofile,
+            rr.schedule,
+            rr.predicted_tail_latency,
+            tag=f"{fl.qid}/e{fl.epoch}",
+        )
+        return True
+
+    def _elastic_pass(self, now: float) -> bool:
+        """One elastic action; the caller re-dispatches after each success.
+
+        Grows fire when free GPUs cannot serve queued work anyway —
+        the queue is empty, or it is (non-overloaded) blocked on a
+        full-width lease the free set cannot cover; shrinks fire
+        only when an overloaded backlog cannot lease even a
+        degraded slot.  Each success strictly widens or narrows
+        one lease, so the caller's drain loop terminates.
+        """
+        cfg = self.config
+        pool = self._pool
+        queue = self._queue
+        in_flight = self._in_flight
+        grow_ok = pool.num_free > 0 and (
+            not queue
+            or (
+                len(queue) <= cfg.overload_queue
+                and pool.num_free < min(cfg.gpus_per_query, pool.num_alive)
+            )
+        )
+        if grow_ok:
+            for qid in sorted(in_flight):
+                fl = in_flight[qid]
+                live = [g for g in fl.lease if g not in pool.dead]
+                target = min(cfg.gpus_per_query, len(live) + pool.num_free)
+                if target > len(live) and self._try_resize(now, fl, target):
+                    self._counts["elastic_grows"] += 1
+                    return True
+        if len(queue) > cfg.overload_queue:
+            k = min(cfg.degraded_gpus, pool.num_alive)
+            if 1 <= k and pool.num_free < k:
+                for qid in sorted(in_flight, key=lambda q: (-len(in_flight[q].lease), q)):
+                    fl = in_flight[qid]
+                    live = [g for g in fl.lease if g not in pool.dead]
+                    if len(live) > cfg.degraded_gpus and self._try_resize(
+                        now, fl, cfg.degraded_gpus
+                    ):
+                        self._counts["elastic_shrinks"] += 1
+                        return True
+        return False
+
+    # ------------------------------------------------------------------
     def _run_segment(
         self,
         now: float,
@@ -764,7 +716,6 @@ class ServeSimulator:
         profile: CostProfile,
         schedule: Schedule,
         predicted: float,
-        push: Callable[[float, int, str, Any], None],
         tag: str,
     ) -> None:
         """Execute one segment of ``fl`` and push its (epoch-tagged) outcome.
@@ -804,12 +755,14 @@ class ServeSimulator:
                 fl.pending = "abort"
                 fl.trace = None
                 fl.seg_repairs = ()
-                push(now + predicted, _PRIO_OUTCOME, "abort", (fl.qid, fl.epoch, str(exc)))
+                self._push(
+                    now + predicted, _PRIO_OUTCOME, "outcome", (fl.qid, fl.epoch, "abort", str(exc))
+                )
                 return
             for r in repairs:
                 self._sched_s += r.result.scheduling_time
                 if r.warm_started:
-                    self._warm_starts += 1
+                    self._counts["warm_starts"] += 1
             op_gpu = _op_assignment(schedule)
             for r in repairs:
                 op_gpu.update(_op_assignment(r.schedule))
@@ -822,20 +775,11 @@ class ServeSimulator:
             if trace.failure is None:  # pragma: no cover - defensive
                 raise ServeError(f"incomplete trace without failure for {fl.qid!r}")
             fl.pending = "displace"
-            push(
-                now + trace.failure.time,
-                _PRIO_OUTCOME,
-                "displace",
-                (fl.qid, fl.epoch, len(repairs)),
-            )
-            return
-        fl.pending = "complete"
-        push(
-            now + trace.latency,
-            _PRIO_OUTCOME,
-            "complete",
-            (fl.qid, fl.epoch, len(repairs)),
-        )
+            end = now + trace.failure.time
+        else:
+            fl.pending = "complete"
+            end = now + trace.latency
+        self._push(end, _PRIO_OUTCOME, "outcome", (fl.qid, fl.epoch, fl.pending, len(repairs)))
 
 
 def serve(

@@ -130,6 +130,12 @@ class TestLinter:
         sub = Linter().for_packs("faults")
         assert {r.pack for r in sub.rules} == {"faults"}
 
+    def test_for_packs_keeps_the_severity_filter(self):
+        sub = Linter.errors_only().for_packs("schedule")
+        assert sub.rules
+        assert {r.pack for r in sub.rules} == {"schedule"}
+        assert {r.severity for r in sub.rules} == {Severity.ERROR}
+
     def test_report_sorted_by_severity(self):
         g = OpGraph()
         g.add_operator("a", cost=float("nan"))  # G007 error

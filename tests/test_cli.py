@@ -95,6 +95,15 @@ class TestCommands:
         assert "predicted" in out and "measured" in out
         assert "GPU 0" in out
 
+    def test_schedule_window_reaches_hios_lp_ls(self, capsys):
+        predicted = []
+        for window in ("1", "4"):
+            argv = ["schedule", "--model", "inception_v3", "--size", "299"]
+            assert main(argv + ["--algorithm", "hios-lp-ls", "--window", window]) == 0
+            out = capsys.readouterr().out
+            predicted.append(out.split("predicted ")[1].split(" ms")[0])
+        assert predicted[0] != predicted[1]
+
     def test_schedule_json_output(self, capsys):
         assert (
             main(
